@@ -3,12 +3,12 @@ package main
 // fleetsim kvbench: the serving-path load generator behind BENCH_kvdb.json.
 // It drives concurrent Get/Put/QueryByValue traffic at a TolerantDB whose
 // replica set includes cores with injected deterministic defects, and runs
-// the same workload twice — once against the historical single-mutex
-// serving discipline (TolerantConfig.SingleLock) and once against the
-// sharded store — so the file records the sharded layer's throughput
-// multiple and tail-latency behaviour under real mitigation load
-// (checksum failures, different-replica retries with nonzero backoff,
-// suspect-signal emission).
+// the same workload twice — once against a single-mutex baseline built
+// here (singleLockDB) and once against the sharded store — so the file
+// records the sharded layer's throughput multiple and tail-latency
+// behaviour under real mitigation load (checksum failures,
+// different-replica retries with nonzero backoff, suspect-signal
+// emission).
 //
 // The workload is closed-loop by default (-workers goroutines, each
 // issuing its next operation as soon as the previous one returns) and
@@ -199,7 +199,7 @@ type kvWorkload struct {
 // replicas get a deterministic stuck-at-0 bit in their copy path — the
 // fail-silent wrong-answer core of §3, guaranteed to corrupt every record
 // it stores (the 0xFF padding carries the stuck bit).
-func kvBuildStore(w kvWorkload, counts *kvSignalCount) (*kvdb.TolerantDB, []*fault.Core, error) {
+func kvBuildStore(w kvWorkload, sink kvdb.SignalSink) (*kvdb.TolerantDB, []*fault.Core, error) {
 	defect := fault.Defect{
 		ID: "kvbench-stuck", Unit: fault.UnitVec, Deterministic: true,
 		Kind: fault.CorruptStuckBit, BitPos: 3, StuckVal: 0,
@@ -222,19 +222,57 @@ func kvBuildStore(w kvWorkload, counts *kvSignalCount) (*kvdb.TolerantDB, []*fau
 	}
 	tdb := kvdb.NewTolerant(db, kvdb.TolerantConfig{
 		RetryBackoff: w.backoff,
-		Sink:         counts.sink,
-		SingleLock:   w.singleLock,
+		Sink:         sink,
 	})
 	return tdb, cores, nil
+}
+
+// kvServer is the serving surface the workload drives.
+type kvServer interface {
+	GetTraced(key string) ([]byte, kvdb.ReadInfo, error)
+	Put(key string, value []byte)
+	QueryByValue(value []byte) []string
+}
+
+// singleLockDB is the benchmark baseline: the tolerant store with one
+// mutex held across every call, reproducing the historical single-mutex
+// TolerantDB. Retry backoff sleeps and synchronous signal delivery happen
+// inside those calls, so the baseline serializes serving completely —
+// one corrupt row backing off stalls every other client.
+type singleLockDB struct {
+	mu sync.Mutex
+	db *kvdb.TolerantDB
+}
+
+func (s *singleLockDB) GetTraced(key string) ([]byte, kvdb.ReadInfo, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.db.GetTraced(key)
+}
+
+func (s *singleLockDB) Put(key string, value []byte) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.db.Put(key, value)
+}
+
+func (s *singleLockDB) QueryByValue(value []byte) []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.db.QueryByValue(value)
 }
 
 // kvRunCell executes one measured cell: build, preload, run the worker
 // pool, reconcile.
 func kvRunCell(w kvWorkload) (KVBenchConfigResult, error) {
 	counts := &kvSignalCount{byRef: map[string]int{}}
-	tdb, cores, err := kvBuildStore(w, counts)
+	tdb, cores, err := kvBuildStore(w, counts.sink)
 	if err != nil {
 		return KVBenchConfigResult{}, err
+	}
+	var srv kvServer = tdb
+	if w.singleLock {
+		srv = &singleLockDB{db: tdb}
 	}
 	// Ground-truth corruption counters: one per core, atomically bumped
 	// (a core only runs under its replica's engine mutex, but the main
@@ -250,7 +288,7 @@ func kvRunCell(w kvWorkload) (KVBenchConfigResult, error) {
 	// replica's copies are already corrupt when the measured window
 	// opens), then discard the warm-up accounting.
 	for i := 0; i < w.rows; i++ {
-		tdb.Put(kvKey(i), kvValue(kvKey(i), 0))
+		srv.Put(kvKey(i), kvValue(kvKey(i), 0))
 	}
 	warm := tdb.Stats()
 	warmSignals := func() int { counts.mu.Lock(); defer counts.mu.Unlock(); return counts.total }()
@@ -293,7 +331,7 @@ func kvRunCell(w kvWorkload) (KVBenchConfigResult, error) {
 				r := rng.Intn(100)
 				switch {
 				case r < w.readPct:
-					v, info, err := tdb.GetTraced(key)
+					v, info, err := srv.GetTraced(key)
 					lat := time.Since(opStart)
 					// Client-visible errors are reconciled from Stats()
 					// afterwards; per-op we only vet returned bytes.
@@ -309,9 +347,9 @@ func kvRunCell(w kvWorkload) (KVBenchConfigResult, error) {
 						latMit.Observe(lat.Seconds())
 					}
 				case r < w.readPct+w.queryPct:
-					tdb.QueryByValue(kvValue(key, 0))
+					srv.QueryByValue(kvValue(key, 0))
 				default:
-					tdb.Put(key, kvValue(key, version))
+					srv.Put(key, kvValue(key, version))
 					version++
 				}
 				issued.Add(1)

@@ -5,7 +5,6 @@
 //	fleetsim validate scenarios/*.yaml         # schema-check without running
 //	fleetsim experiments -experiment F1        # the paper's experiment registry
 //	fleetsim experiments -experiment all -scale full
-//	fleetsim experiments -trace t.jsonl -days 90
 //
 // A scenario file (see scenarios/ and DESIGN.md §10) declares the fleet,
 // a timeline of events (defect injection, drains, operating-point
@@ -13,9 +12,6 @@
 // and exits non-zero when an assertion fails, which is what makes the
 // scenario corpus a regression suite. Every run is bit-identical at any
 // -parallelism.
-//
-// For compatibility, invoking fleetsim with a leading flag instead of a
-// subcommand ("fleetsim -experiment E5") is routed to experiments.
 package main
 
 import (
@@ -26,7 +22,6 @@ import (
 	"strings"
 
 	"repro/internal/experiments"
-	"repro/internal/fleet"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/scenario"
@@ -38,15 +33,13 @@ func usage(w io.Writer) {
 Commands:
   run <scenario.yaml>      run one scenario and check its assertions
   validate <file>...       parse and schema-check scenario files
-  experiments [flags]      run the paper's experiment registry (legacy flags)
+  experiments [flags]      run the paper's experiment registry
   bench [flags]            benchmark the day loop, append BENCH_fleetsim.json
   kvbench [flags]          load-test tolerant kv serving, append BENCH_kvdb.json
   chaos [-quick]           fault-inject the control plane, check its invariants
   help                     show this message
 
-Run 'fleetsim <command> -h' for the command's flags. Invoking fleetsim
-with flags and no command ('fleetsim -experiment F1') is routed to
-'experiments' for backwards compatibility.
+Run 'fleetsim <command> -h' for the command's flags.
 `)
 }
 
@@ -55,10 +48,6 @@ func main() {
 	if len(args) == 0 {
 		usage(os.Stderr)
 		os.Exit(2)
-	}
-	// Legacy compatibility: a flag pile with no subcommand is the old CLI.
-	if strings.HasPrefix(args[0], "-") && args[0] != "-h" && args[0] != "--help" {
-		os.Exit(cmdExperiments(args))
 	}
 	switch args[0] {
 	case "run":
@@ -301,42 +290,15 @@ func cmdValidate(args []string) int {
 	return 0
 }
 
-// ---- fleetsim experiments (the legacy CLI) ----
+// ---- fleetsim experiments ----
 
 func cmdExperiments(args []string) int {
 	fs := flag.NewFlagSet("fleetsim experiments", flag.ContinueOnError)
 	exp := fs.String("experiment", "all", "experiment id (F1, E1..E14) or 'all'")
 	scale := fs.String("scale", "small", "small | full")
-	par := fs.Int("parallelism", 0, "fleet simulation workers (0 = GOMAXPROCS)")
-	tracePath := fs.String("trace", "", "write a CEE lifecycle trace (JSONL) to this file (traced-run mode)")
-	metricsPath := fs.String("metrics", "", "write a Prometheus text metrics snapshot to this file, '-' for stdout (traced-run mode)")
-	days := fs.Int("days", 45, "days to simulate in traced-run mode")
-	kvStores := fs.Int("kvstores", 0, "tolerant kvdb stores to serve during traced-run mode (0 disables)")
-	taskRun := fs.Int("taskrun", 0, "checkpoint/retry tasks to run per day during traced-run mode (0 disables)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-
-	// Reject nonsense before it silently misbehaves (a negative
-	// parallelism used to fall through to the worker pool; 0 = auto).
-	if *par < 0 {
-		fmt.Fprintf(os.Stderr, "fleetsim: -parallelism must be >= 1 (or 0 for GOMAXPROCS), got %d\n", *par)
-		return 2
-	}
-	if *days <= 0 {
-		fmt.Fprintf(os.Stderr, "fleetsim: -days must be positive, got %d\n", *days)
-		return 2
-	}
-	if *kvStores < 0 {
-		fmt.Fprintf(os.Stderr, "fleetsim: -kvstores must be >= 0, got %d\n", *kvStores)
-		return 2
-	}
-	if *taskRun < 0 {
-		fmt.Fprintf(os.Stderr, "fleetsim: -taskrun must be >= 0, got %d\n", *taskRun)
-		return 2
-	}
-
-	fleet.SetDefaultParallelism(*par)
 
 	var s experiments.Scale
 	switch *scale {
@@ -346,18 +308,6 @@ func cmdExperiments(args []string) int {
 		s = experiments.Full
 	default:
 		fmt.Fprintf(os.Stderr, "fleetsim: unknown scale %q\n", *scale)
-		return 2
-	}
-
-	if *tracePath != "" || *metricsPath != "" {
-		return runTraced(s, *par, *days, *kvStores, *taskRun, *tracePath, *metricsPath)
-	}
-	if *kvStores > 0 {
-		fmt.Fprintln(os.Stderr, "fleetsim: -kvstores needs traced-run mode (use -trace and/or -metrics)")
-		return 2
-	}
-	if *taskRun > 0 {
-		fmt.Fprintln(os.Stderr, "fleetsim: -taskrun needs traced-run mode (use -trace and/or -metrics)")
 		return 2
 	}
 
@@ -375,64 +325,6 @@ func cmdExperiments(args []string) int {
 		fmt.Println(strings.Repeat("=", 72))
 		fmt.Print(run(s))
 		fmt.Println()
-	}
-	return 0
-}
-
-// runTraced performs one instrumented fleet run at the given scale. The
-// legacy flag pile is lowered onto a generated scenario, so this mode and
-// 'fleetsim run' share one execution path.
-func runTraced(s experiments.Scale, par, days, kvStores, taskRun int, tracePath, metricsPath string) int {
-	cfg := experiments.FleetConfig(s)
-	if kvStores > 0 {
-		cfg.KVDB.Stores = kvStores
-	}
-	if taskRun > 0 {
-		cfg.TaskRun.Tasks = taskRun
-	}
-	sc := scenario.FromConfig("traced-run", cfg, days)
-
-	out, err := openOutputs(tracePath, metricsPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fleetsim: %v\n", err)
-		return 2
-	}
-
-	opts := scenario.Options{Parallelism: par, Metrics: obs.NewRegistry()}
-	var tr *obs.Trace
-	if tracePath != "" {
-		tr = obs.NewTrace()
-		opts.Trace = tr
-	}
-	res, err := sc.Run(opts)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fleetsim: %v\n", err)
-		return 1
-	}
-
-	t := res.Totals()
-	if kvStores > 0 {
-		fmt.Printf("kvdb: %d stores served %d reads: %d retries, %d repairs, %d degraded, %d client errors\n",
-			kvStores, t.KVReads, t.KVRetries, t.KVRepairs, t.KVDegraded, t.KVErrors)
-	}
-	if taskRun > 0 {
-		fmt.Printf("taskrun: %d tasks/day committed %d granules: %d retries, %d restores, %d migrations, %d signals, %d failed tasks\n",
-			taskRun, t.TRGranules, t.TRRetries, t.TRRestores, t.TRMigrations, t.TRSignals, t.TRFailures)
-	}
-	if err := out.write(tr, opts.Metrics, tracePath, metricsPath); err != nil {
-		fmt.Fprintf(os.Stderr, "fleetsim: %v\n", err)
-		return 1
-	}
-
-	rep := res.Detection
-	fmt.Printf("run: %d days, %d defective cores (%d past onset), %d quarantined (TP %d / FP %d), detected fraction %.3f\n",
-		days, rep.TotalDefective, rep.PastOnset, rep.Quarantined,
-		rep.TruePositive, rep.FalsePositive, rep.DetectedFraction())
-	if tr != nil {
-		if err := traceSelfCheck(tr, rep, days); err != nil {
-			fmt.Fprintf(os.Stderr, "fleetsim: %v\n", err)
-			return 1
-		}
 	}
 	return 0
 }

@@ -58,7 +58,7 @@ func main() {
 	// the tracker; the defective core concentrates reports, while
 	// background software bugs spread evenly.
 	fmt.Println("[1] incident signals arriving at the report service")
-	tracker := detect.NewTracker(*cores)
+	tracker := detect.NewShardedTracker(*cores, 0)
 	rng := xrand.New(*seed + 1)
 	for i := 0; i < 12; i++ {
 		tracker.Add(detect.Signal{Machine: "host0", Core: *coreIdx,
@@ -101,8 +101,7 @@ func main() {
 	// a novel one needing a new automatable test (§6/§9)?
 	fmt.Println("[3b] forensic classification")
 	characterization := screen.Screen(m.Core(top.Core),
-		screen.NewConfig(screen.WithPasses(2), screen.WithSweep(2, 1, 2),
-			screen.WithStopOnDetect(false)), xrand.New(*seed+9))
+		screen.Config{Passes: 2, Points: screen.SweepPoints(2, 1, 2)}, xrand.New(*seed+9))
 	db := forensics.NewModeDB()
 	db.Observe(forensics.Mode{Units: []fault.Unit{fault.UnitALU}}) // previously seen
 	db.Observe(forensics.Mode{Units: []fault.Unit{fault.UnitVec}}) // previously seen

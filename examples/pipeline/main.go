@@ -75,7 +75,7 @@ func main() {
 	}
 
 	rng := xrand.New(99)
-	tracker := detect.NewTracker(coresPer)
+	tracker := detect.NewShardedTracker(coresPer, 0)
 	scratch := make([]byte, recordN)
 
 	runVersion := func(name string, v2 bool) {

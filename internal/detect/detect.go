@@ -5,15 +5,14 @@
 // signature); tracking recidivism; and extracting "confessions" from
 // suspects via deep screening.
 //
-// Concurrency model: Tracker is a deliberately lock-free single-writer
-// structure. Concurrent producers (parallel fleet shards, HTTP handlers)
-// must not call Add directly; they buffer []Signal privately and hand the
-// buffers to one merging goroutine — report.Server wraps exactly that
-// single-writer merge behind a mutex, and the fleet simulator merges its
-// per-shard buffers in deterministic shard order. Suspect nomination is
-// insensitive to signal order within a day (counts, first/last-time
-// bounds, and the concentration statistic are all multiset functions), so
-// an ordered merge of per-shard buffers is bit-identical to a serial run.
+// Concurrency model: ShardedTracker is the public tracker and is safe for
+// concurrent use. It partitions machines across shards, each running the
+// unexported single-writer tracker engine under its shard's lock. The
+// fleet simulator still buffers []Signal per worker and merges the
+// buffers in deterministic shard order. Suspect nomination is insensitive
+// to signal order within a day (counts, first/last-time bounds, and the
+// concentration statistic are all multiset functions), so an ordered
+// merge of per-shard buffers is bit-identical to a serial run.
 package detect
 
 import (
@@ -96,11 +95,12 @@ func (s *Suspect) Score() float64 {
 	return float64(s.Reports) * -math.Log10(p)
 }
 
-// Tracker aggregates signals and nominates suspects. It implements the §6
+// tracker is the single-writer engine behind each ShardedTracker shard: it
+// aggregates signals and nominates suspects. It implements the §6
 // policy: "Reports that are evenly spread across cores probably are not
 // CEEs; reports from multiple applications that appear to be concentrated
 // on a few cores might well be CEEs."
-type Tracker struct {
+type tracker struct {
 	// CoresPerMachine is needed to form the per-core histogram
 	// (including zero-report cores) for the concentration test.
 	CoresPerMachine int
@@ -126,10 +126,10 @@ type coreStats struct {
 	first, last simtime.Time
 }
 
-// NewTracker returns a tracker with the given machine shape and the
+// newTracker returns a tracker with the given machine shape and the
 // default policy (alpha = 0.001, at least 2 reports).
-func NewTracker(coresPerMachine int) *Tracker {
-	return &Tracker{
+func newTracker(coresPerMachine int) *tracker {
+	return &tracker{
 		CoresPerMachine: coresPerMachine,
 		Alpha:           0.001,
 		MinReports:      2,
@@ -140,7 +140,7 @@ func NewTracker(coresPerMachine int) *Tracker {
 }
 
 // Add ingests one signal.
-func (t *Tracker) Add(s Signal) {
+func (t *tracker) Add(s Signal) {
 	t.reporters[s.Machine] = true
 	if s.Core < 0 {
 		t.perMachine[s.Machine]++
@@ -168,7 +168,7 @@ func (t *Tracker) Add(s Signal) {
 
 // AddBatch ingests a buffer of signals in order — the single-writer merge
 // step for concurrent producers that accumulated signals privately.
-func (t *Tracker) AddBatch(sigs []Signal) {
+func (t *tracker) AddBatch(sigs []Signal) {
 	for _, s := range sigs {
 		t.Add(s)
 	}
@@ -178,7 +178,7 @@ func (t *Tracker) AddBatch(sigs []Signal) {
 // drained, repaired, or replaced, so stale reports cannot re-nominate a
 // core that no longer exists (and the tracker's memory stays bounded by
 // the live fleet).
-func (t *Tracker) Forget(machine string) {
+func (t *tracker) Forget(machine string) {
 	delete(t.perCore, machine)
 	delete(t.perMachine, machine)
 }
@@ -186,7 +186,7 @@ func (t *Tracker) Forget(machine string) {
 // ForgetCore drops state for one core — called after the core is
 // quarantined, so its historical reports stop dominating the machine's
 // concentration statistics.
-func (t *Tracker) ForgetCore(machine string, core int) {
+func (t *tracker) ForgetCore(machine string, core int) {
 	if m := t.perCore[machine]; m != nil {
 		delete(m, core)
 		if len(m) == 0 {
@@ -199,10 +199,10 @@ func (t *Tracker) ForgetCore(machine string, core int) {
 // ever submitted a signal — a lifetime census that, unlike the suspect
 // list, also counts machines whose reports never produced a nomination.
 // Forget does not shrink it.
-func (t *Tracker) ReportingMachines() int { return len(t.reporters) }
+func (t *tracker) ReportingMachines() int { return len(t.reporters) }
 
 // Reports returns the total core-attributed signal count for a machine.
-func (t *Tracker) Reports(machine string) int {
+func (t *tracker) Reports(machine string) int {
 	total := 0
 	for _, cs := range t.perCore[machine] {
 		total += cs.count
@@ -213,7 +213,7 @@ func (t *Tracker) Reports(machine string) int {
 // Suspects evaluates every machine and returns the cores whose report
 // concentration beats the tracker's policy, ranked by Score (highest
 // first). Ties break deterministically by (machine, core).
-func (t *Tracker) Suspects() []Suspect {
+func (t *tracker) Suspects() []Suspect {
 	var out []Suspect
 	machines := make([]string, 0, len(t.perCore))
 	for m := range t.perCore {
@@ -265,7 +265,7 @@ func (t *Tracker) Suspects() []Suspect {
 
 // sortSuspects orders suspects by Score (highest first), ties broken
 // deterministically by (machine, core) — the ranking contract shared by
-// Tracker and ShardedTracker.
+// tracker and ShardedTracker.
 func sortSuspects(out []Suspect) {
 	sort.Slice(out, func(i, j int) bool {
 		si, sj := out[i].Score(), out[j].Score()

@@ -20,7 +20,7 @@ func TestSignalKindString(t *testing.T) {
 }
 
 func TestTrackerNominatesConcentratedCore(t *testing.T) {
-	tr := NewTracker(64)
+	tr := newTracker(64)
 	for i := 0; i < 8; i++ {
 		tr.Add(Signal{Machine: "m1", Core: 17, Kind: SigAppError, Time: simtime.Time(i)})
 	}
@@ -45,7 +45,7 @@ func TestTrackerNominatesConcentratedCore(t *testing.T) {
 
 func TestTrackerIgnoresEvenSpread(t *testing.T) {
 	// The software-bug signature: reports spread over all cores.
-	tr := NewTracker(32)
+	tr := newTracker(32)
 	for i := 0; i < 64; i++ {
 		tr.Add(Signal{Machine: "m1", Core: i % 32, Kind: SigCrash})
 	}
@@ -56,7 +56,7 @@ func TestTrackerIgnoresEvenSpread(t *testing.T) {
 
 func TestTrackerSingleReportInsufficient(t *testing.T) {
 	// Recidivism requirement: one report never nominates.
-	tr := NewTracker(64)
+	tr := newTracker(64)
 	tr.Add(Signal{Machine: "m1", Core: 3, Kind: SigCrash})
 	if sus := tr.Suspects(); len(sus) != 0 {
 		t.Fatalf("single report nominated: %+v", sus)
@@ -64,7 +64,7 @@ func TestTrackerSingleReportInsufficient(t *testing.T) {
 }
 
 func TestTrackerMachineLevelSignals(t *testing.T) {
-	tr := NewTracker(8)
+	tr := newTracker(8)
 	tr.Add(Signal{Machine: "m1", Core: -1, Kind: SigMCE})
 	tr.Add(Signal{Machine: "m1", Core: -1, Kind: SigMCE})
 	if got := tr.Reports("m1"); got != 0 {
@@ -79,7 +79,7 @@ func TestTrackerMachineLevelSignals(t *testing.T) {
 }
 
 func TestTrackerMultipleMachines(t *testing.T) {
-	tr := NewTracker(16)
+	tr := newTracker(16)
 	for i := 0; i < 6; i++ {
 		tr.Add(Signal{Machine: "mA", Core: 2, Kind: SigAppError})
 		tr.Add(Signal{Machine: "mB", Core: 9, Kind: SigCrash})
@@ -98,7 +98,7 @@ func TestTrackerMultipleMachines(t *testing.T) {
 }
 
 func TestTrackerRankingByScore(t *testing.T) {
-	tr := NewTracker(64)
+	tr := newTracker(64)
 	for i := 0; i < 3; i++ {
 		tr.Add(Signal{Machine: "weak", Core: 1, Kind: SigCrash})
 	}
@@ -119,7 +119,7 @@ func TestTrackerRankingByScore(t *testing.T) {
 
 func TestTrackerDeterministicOrder(t *testing.T) {
 	build := func() []Suspect {
-		tr := NewTracker(8)
+		tr := newTracker(8)
 		for _, m := range []string{"m3", "m1", "m2"} {
 			for i := 0; i < 5; i++ {
 				tr.Add(Signal{Machine: m, Core: 0, Kind: SigCrash})
@@ -141,7 +141,7 @@ func TestTrackerDeterministicOrder(t *testing.T) {
 func TestTrackerNoisePlusHotCore(t *testing.T) {
 	// Realistic mix: background software-bug noise over all cores plus a
 	// genuinely hot core. Only the hot core should surface.
-	tr := NewTracker(32)
+	tr := newTracker(32)
 	rng := xrand.New(9)
 	for i := 0; i < 30; i++ {
 		tr.Add(Signal{Machine: "m", Core: rng.Intn(32), Kind: SigCrash})
@@ -205,7 +205,7 @@ func TestConfessExoneratesHealthyCore(t *testing.T) {
 }
 
 func TestTrackerTimeWindow(t *testing.T) {
-	tr := NewTracker(4)
+	tr := newTracker(4)
 	tr.Add(Signal{Machine: "m", Core: 0, Kind: SigCrash, Time: 100})
 	tr.Add(Signal{Machine: "m", Core: 0, Kind: SigCrash, Time: 50})
 	tr.Add(Signal{Machine: "m", Core: 0, Kind: SigCrash, Time: 200})
@@ -223,7 +223,7 @@ func TestTrackerTimeWindow(t *testing.T) {
 func TestTrackerOutOfRangeCoreIndex(t *testing.T) {
 	// A signal naming a core index beyond the machine shape must not
 	// panic the concentration test.
-	tr := NewTracker(4)
+	tr := newTracker(4)
 	for i := 0; i < 5; i++ {
 		tr.Add(Signal{Machine: "m", Core: 9, Kind: SigCrash})
 	}
@@ -231,7 +231,7 @@ func TestTrackerOutOfRangeCoreIndex(t *testing.T) {
 }
 
 func BenchmarkTrackerSuspects(b *testing.B) {
-	tr := NewTracker(128)
+	tr := newTracker(128)
 	rng := xrand.New(1)
 	for m := 0; m < 50; m++ {
 		machine := string(rune('a' + m%26))
@@ -246,7 +246,7 @@ func BenchmarkTrackerSuspects(b *testing.B) {
 }
 
 func TestForgetMachine(t *testing.T) {
-	tr := NewTracker(8)
+	tr := newTracker(8)
 	for i := 0; i < 6; i++ {
 		tr.Add(Signal{Machine: "m", Core: 1, Kind: SigCrash})
 	}
@@ -263,7 +263,7 @@ func TestForgetMachine(t *testing.T) {
 }
 
 func TestForgetCore(t *testing.T) {
-	tr := NewTracker(8)
+	tr := newTracker(8)
 	for i := 0; i < 6; i++ {
 		tr.Add(Signal{Machine: "m", Core: 1, Kind: SigCrash})
 		tr.Add(Signal{Machine: "m", Core: 3, Kind: SigCrash})
@@ -284,7 +284,7 @@ func TestForgetCore(t *testing.T) {
 }
 
 func TestReportingMachines(t *testing.T) {
-	tr := NewTracker(8)
+	tr := newTracker(8)
 	if tr.ReportingMachines() != 0 {
 		t.Fatal("fresh tracker has reporters")
 	}

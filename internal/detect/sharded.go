@@ -4,7 +4,7 @@ package detect
 // concurrent producers (HTTP ingest handlers, queue drainers) contend on
 // a shard's lock instead of one global mutex. Every per-machine statistic
 // lives entirely inside one shard — a machine's signals always hash to
-// the same shard — so nomination is identical to a single Tracker fed the
+// the same shard — so nomination is identical to a single tracker fed the
 // same multiset of signals, and Suspects' merged ranking is bit-identical
 // (same comparator, same per-machine inputs). This is the ingest-path
 // scaling step for the paper's O(100k)-machine regime: the daemon absorbs
@@ -20,7 +20,7 @@ import (
 // of HTTP handler goroutines without meaningfully fragmenting memory.
 const DefaultTrackerShards = 16
 
-// ShardedTracker is a Tracker partitioned by machine hash. Unlike Tracker
+// ShardedTracker is a tracker partitioned by machine hash. Unlike tracker
 // it is safe for concurrent use.
 type ShardedTracker struct {
 	shards []trackerShard
@@ -28,7 +28,7 @@ type ShardedTracker struct {
 
 type trackerShard struct {
 	mu sync.Mutex
-	t  *Tracker
+	t  *tracker
 	// pad the shard to its own cache lines so neighbouring shard locks
 	// do not false-share under concurrent ingest.
 	_ [40]byte
@@ -42,7 +42,7 @@ func NewShardedTracker(coresPerMachine, n int) *ShardedTracker {
 	}
 	s := &ShardedTracker{shards: make([]trackerShard, n)}
 	for i := range s.shards {
-		s.shards[i].t = NewTracker(coresPerMachine)
+		s.shards[i].t = newTracker(coresPerMachine)
 	}
 	return s
 }
@@ -129,7 +129,7 @@ func (s *ShardedTracker) ReportingMachines() int {
 }
 
 // Suspects merges every shard's nominations into one ranking, identical
-// to a single Tracker's (per-machine evaluation never crosses shards, and
+// to a single tracker's (per-machine evaluation never crosses shards, and
 // the final sort uses the same comparator).
 func (s *ShardedTracker) Suspects() []Suspect {
 	var out []Suspect

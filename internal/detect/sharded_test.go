@@ -33,12 +33,12 @@ func shardedSignals() []Signal {
 }
 
 // TestShardedEquivalence feeds the same multiset of signals to a plain
-// Tracker and a ShardedTracker and asserts identical nominations, census,
+// tracker and a ShardedTracker and asserts identical nominations, census,
 // and per-machine counts — including after Forget/ForgetCore.
 func TestShardedEquivalence(t *testing.T) {
 	for _, shards := range []int{1, 3, 16} {
 		sigs := shardedSignals()
-		plain := NewTracker(16)
+		plain := newTracker(16)
 		sharded := NewShardedTracker(16, shards)
 		plain.AddBatch(sigs)
 		sharded.AddBatch(sigs)
@@ -107,7 +107,7 @@ func TestShardedBatchGrouping(t *testing.T) {
 	}
 	sharded := NewShardedTracker(16, 4)
 	sharded.AddBatch(sigs)
-	plain := NewTracker(16)
+	plain := newTracker(16)
 	plain.AddBatch(sigs)
 	if got, want := sharded.Suspects(), plain.Suspects(); !suspectsEqual(got, want) {
 		t.Fatalf("batched ingest diverged:\n got %+v\nwant %+v", got, want)

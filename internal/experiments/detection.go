@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/fault"
-	"repro/internal/fleet"
 	"repro/internal/metrics"
 	"repro/internal/quarantine"
 	"repro/internal/stats"
@@ -201,8 +200,7 @@ func E4(s Scale) E4Result {
 			cfg := fleetConfig(s)
 			cfg.Seed = seed
 			cfg.ScreenOpsPerCoreDay = budget
-			f := fleet.New(cfg)
-			f.Run(nDays)
+			f, _ := simulate(cfg, nDays)
 			rep := metrics.Detection(f, nDays)
 			row.DetectedFraction += rep.DetectedFraction() / float64(len(seeds))
 			row.MeanLatencyDays += rep.MeanLatencyDays() / float64(len(seeds))
@@ -258,8 +256,7 @@ func E6(s Scale) E6Result {
 	for _, mode := range []quarantine.Mode{quarantine.MachineDrain, quarantine.CoreRemoval, quarantine.SafeTasks} {
 		cfg := fleetConfig(s)
 		cfg.Policy = quarantine.Policy{Mode: mode, RequireConfession: true}
-		f := fleet.New(cfg)
-		f.Run(nDays)
+		f, _ := simulate(cfg, nDays)
 		cap := f.Cluster().Capacity()
 		out.Rows = append(out.Rows, E6Row{
 			Mode:            mode.String(),

@@ -42,16 +42,24 @@ func fleetConfig(s Scale) fleet.Config {
 		cfg.Machines = 400
 		cfg.CoresPerMachine = 16
 		cfg.DefectsPerMachine = 0.05
-		cfg.ConfessionConfig = screen.NewConfig(screen.WithPasses(30),
-			screen.WithSweep(2, 1, 2), screen.WithMaxOps(8_000_000))
+		cfg.ConfessionConfig = screen.Config{
+			Passes: 30, Points: screen.SweepPoints(2, 1, 2),
+			StopOnDetect: true, MaxOps: 8_000_000,
+		}
 	}
 	return cfg
 }
 
-// FleetConfig exposes the per-scale base configuration to external
-// drivers — cmd/fleetsim's traced-run mode simulates the same fleet the
-// experiments do.
-func FleetConfig(s Scale) fleet.Config { return fleetConfig(s) }
+// simulate builds cfg's fleet through fleet.NewRunner at the default
+// parallelism and runs it the given number of days (0 builds the
+// population only). Results do not depend on the worker count.
+func simulate(cfg fleet.Config, n int) (*fleet.Fleet, []fleet.DayStats) {
+	r, err := fleet.NewRunner(cfg)
+	if err != nil {
+		panic(err) // experiment configs are valid by construction
+	}
+	return r.Fleet(), r.Run(n)
+}
 
 func days(s Scale, small, full int) int {
 	if s == Full {
@@ -74,8 +82,7 @@ type F1Result struct {
 func F1(s Scale) F1Result {
 	cfg := fleetConfig(s)
 	cfg.Policy = quarantine.Policy{Mode: quarantine.CoreRemoval, MinScore: 1e18}
-	f := fleet.New(cfg)
-	daily := f.Run(days(s, 180, 365))
+	_, daily := simulate(cfg, days(s, 180, 365))
 	rates := fleet.Normalize(fleet.WeeklyRates(daily, cfg.Machines))
 	return F1Result{
 		Rates:     rates,
@@ -114,7 +121,7 @@ func E1(s Scale) E1Result {
 		cfg.Machines = 20000
 	}
 	cfg.CoresPerMachine = 8 // population only; cores are not simulated here
-	f := fleet.New(cfg)
+	f, _ := simulate(cfg, 0)
 	n := len(f.Defects())
 	return E1Result{
 		Machines:        cfg.Machines,
@@ -140,8 +147,7 @@ type E2Result struct {
 // E2 measures how corruptions split across §2's symptom classes.
 func E2(s Scale) E2Result {
 	cfg := fleetConfig(s)
-	f := fleet.New(cfg)
-	daily := f.Run(days(s, 60, 180))
+	_, daily := simulate(cfg, days(s, 60, 180))
 	var out E2Result
 	for _, d := range daily {
 		out.Total += d.Corruptions
@@ -179,8 +185,7 @@ func E5(s Scale) E5Result {
 	cfg := fleetConfig(s)
 	cfg.Machines *= 4
 	cfg.Policy = quarantine.Policy{Mode: quarantine.CoreRemoval, MinScore: 1e18}
-	f := fleet.New(cfg)
-	f.Run(days(s, 120, 365))
+	f, _ := simulate(cfg, days(s, 120, 365))
 	return E5Result{f.Triage}
 }
 
@@ -215,7 +220,7 @@ type E11Result struct {
 func E11(s Scale) E11Result {
 	cfg := fleetConfig(s)
 	cfg.Machines *= 4
-	f := fleet.New(cfg)
+	f, _ := simulate(cfg, 0)
 	var out E11Result
 	var latent []float64
 	for _, d := range f.Defects() {

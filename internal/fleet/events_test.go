@@ -17,8 +17,10 @@ func eventTestConfig() Config {
 	cfg.CoresPerMachine = 8
 	cfg.DefectsPerMachine = 0
 	cfg.Seed = 3
-	cfg.ConfessionConfig = screen.NewConfig(screen.WithPasses(20),
-		screen.WithSweep(2, 1, 2), screen.WithMaxOps(4_000_000))
+	cfg.ConfessionConfig = screen.Config{
+		Passes: 20, Points: screen.SweepPoints(2, 1, 2),
+		StopOnDetect: true, MaxOps: 4_000_000,
+	}
 	return cfg
 }
 
@@ -32,7 +34,7 @@ func hotDefect(bit uint) fault.Defect {
 }
 
 func TestInjectDefectValidation(t *testing.T) {
-	f := New(eventTestConfig())
+	f := newFleet(eventTestConfig())
 	if err := f.InjectDefect("nope", 0, hotDefect(1)); err == nil {
 		t.Error("bad machine id accepted")
 	}
@@ -54,7 +56,7 @@ func TestInjectDefectValidation(t *testing.T) {
 }
 
 func TestInjectedDefectCorruptsAndOnsetDelays(t *testing.T) {
-	f := New(eventTestConfig())
+	f := newFleet(eventTestConfig())
 	if err := f.InjectDefect("m00004", 1, hotDefect(7)); err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +67,7 @@ func TestInjectedDefectCorruptsAndOnsetDelays(t *testing.T) {
 	}
 	total := int64(0)
 	for day := 0; day < 10; day++ {
-		total += f.Step().Corruptions
+		total += f.step().Corruptions
 	}
 	if total == 0 {
 		t.Error("hot injected defect produced no corruptions in 10 days")
@@ -77,7 +79,7 @@ func TestInjectedDefectCorruptsAndOnsetDelays(t *testing.T) {
 }
 
 func TestDrainSuspendsAndUndrainResumes(t *testing.T) {
-	f := New(eventTestConfig())
+	f := newFleet(eventTestConfig())
 	if err := f.InjectDefect("m00006", 3, hotDefect(5)); err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +91,7 @@ func TestDrainSuspendsAndUndrainResumes(t *testing.T) {
 	}
 	drained := int64(0)
 	for day := 0; day < 8; day++ {
-		drained += f.Step().Corruptions
+		drained += f.step().Corruptions
 	}
 	if drained != 0 {
 		t.Errorf("drained machine corrupted %d results", drained)
@@ -99,7 +101,7 @@ func TestDrainSuspendsAndUndrainResumes(t *testing.T) {
 	}
 	resumed := int64(0)
 	for day := 0; day < 8; day++ {
-		resumed += f.Step().Corruptions
+		resumed += f.step().Corruptions
 	}
 	if resumed == 0 {
 		t.Error("undrained machine never resumed corrupting")
@@ -107,7 +109,7 @@ func TestDrainSuspendsAndUndrainResumes(t *testing.T) {
 }
 
 func TestSetOperatingPointChangesRates(t *testing.T) {
-	f := New(eventTestConfig())
+	f := newFleet(eventTestConfig())
 	cold := fault.Defect{
 		Unit:     fault.UnitALU,
 		Kind:     fault.CorruptBitFlip,
@@ -120,7 +122,7 @@ func TestSetOperatingPointChangesRates(t *testing.T) {
 	}
 	nominal := int64(0)
 	for day := 0; day < 10; day++ {
-		nominal += f.Step().Corruptions
+		nominal += f.step().Corruptions
 	}
 	pt := f.OperatingPoint()
 	pt.VoltageV = 0.85
@@ -128,7 +130,7 @@ func TestSetOperatingPointChangesRates(t *testing.T) {
 	f.SetOperatingPoint(pt)
 	corner := int64(0)
 	for day := 0; day < 10; day++ {
-		corner += f.Step().Corruptions
+		corner += f.step().Corruptions
 	}
 	if corner <= nominal {
 		t.Errorf("corner corruptions (%d) not above nominal (%d)", corner, nominal)
@@ -144,13 +146,13 @@ func TestRepairedSiteStopsCorrupting(t *testing.T) {
 	cfg.RepairAfterDays = 5
 	cfg.Policy = quarantine.Policy{Mode: quarantine.CoreRemoval,
 		RequireConfession: true, DeclineRetry: 2 * simtime.Day}
-	f := New(cfg)
+	f := newFleet(cfg)
 	if err := f.InjectDefect("m00009", 6, hotDefect(13)); err != nil {
 		t.Fatal(err)
 	}
 	repairedOn := -1
 	for day := 0; day < 40; day++ {
-		st := f.Step()
+		st := f.step()
 		if st.RepairsDone > 0 {
 			repairedOn = day
 		}
@@ -160,7 +162,7 @@ func TestRepairedSiteStopsCorrupting(t *testing.T) {
 	}
 	tail := int64(0)
 	for day := 0; day < 5; day++ {
-		tail += f.Step().Corruptions
+		tail += f.step().Corruptions
 	}
 	if tail != 0 {
 		t.Errorf("repaired site still corrupting: %d corruptions after repair", tail)
@@ -172,7 +174,7 @@ func TestRepairedSiteStopsCorrupting(t *testing.T) {
 }
 
 func TestWorkloadPhaseSwitches(t *testing.T) {
-	f := New(eventTestConfig())
+	f := newFleet(eventTestConfig())
 	if err := f.StartKVLoad(KVDBConfig{Stores: 2}); err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +187,7 @@ func TestWorkloadPhaseSwitches(t *testing.T) {
 	if err := f.StartTaskRun(TaskRunConfig{Tasks: 2}); err == nil {
 		t.Error("double taskrun start accepted")
 	}
-	st := f.Step()
+	st := f.step()
 	if st.KVReads == 0 {
 		t.Error("kv phase produced no reads")
 	}
@@ -194,7 +196,7 @@ func TestWorkloadPhaseSwitches(t *testing.T) {
 	}
 	f.StopKVLoad()
 	f.StopTaskRun()
-	st = f.Step()
+	st = f.step()
 	if st.KVReads != 0 || st.TRGranules != 0 {
 		t.Errorf("stopped phases still active: %+v", st)
 	}

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"runtime"
 
 	"repro/internal/corpus"
 	"repro/internal/detect"
@@ -183,11 +184,10 @@ func DefaultConfig() Config {
 			Mode:              quarantine.CoreRemoval,
 			RequireConfession: true,
 		},
-		ConfessionConfig: screen.NewConfig(
-			screen.WithPasses(60),
-			screen.WithSweep(2, 1, 2),
-			screen.WithMaxOps(15_000_000),
-		),
+		ConfessionConfig: screen.Config{
+			Passes: 60, Points: screen.SweepPoints(2, 1, 2),
+			StopOnDetect: true, MaxOps: 15_000_000,
+		},
 	}
 }
 
@@ -353,11 +353,12 @@ type TriageStats struct {
 	RealNotReproduced int
 }
 
-// Fleet is one simulated fleet.
+// Fleet is one simulated fleet, built and stepped by a Runner.
 //
-// A Fleet's mutable state is owned by one goroutine: Step and Run must not
-// be called concurrently. Internally each day is sharded across a worker
-// pool (see tick.go); the telemetry is bit-identical at any worker count.
+// A Fleet's mutable state is owned by one goroutine: Runner.Step and
+// Runner.Run must not be called concurrently. Internally each day is
+// sharded across a worker pool (see tick.go); the telemetry is
+// bit-identical at any worker count.
 type Fleet struct {
 	cfg         Config
 	rng         *xrand.RNG
@@ -386,7 +387,7 @@ type Fleet struct {
 	// userSeen dedups human investigations per machine: production
 	// humans investigate a suspect machine once, not per incident.
 	userSeen map[string]bool
-	// Observability sinks (optional; see SetMetrics/SetTrace). Both are
+	// Observability sinks (optional; see WithMetrics/WithTrace). Both are
 	// written only from serial phases or via lock-free instruments, so
 	// they never perturb the determinism contract.
 	obs   *obs.Registry
@@ -436,11 +437,9 @@ type Fleet struct {
 	lifeTotals   LifeTotals
 }
 
-// New builds the fleet population deterministically from cfg.
-func New(cfg Config) *Fleet {
-	if cfg.Machines <= 0 || cfg.CoresPerMachine <= 0 {
-		panic("fleet: machines and cores must be positive")
-	}
+// newFleet builds the fleet population deterministically from cfg, which
+// NewRunner has validated.
+func newFleet(cfg Config) *Fleet {
 	// The quarantine manager picks its confession screen from the
 	// policy; default it to the fleet's (cheap) confession config so
 	// daily suspect processing does not run full deep screens.
@@ -453,7 +452,7 @@ func New(cfg Config) *Fleet {
 	f := &Fleet{
 		cfg:           cfg,
 		rng:           xrand.New(cfg.Seed),
-		parallelism:   DefaultParallelism(),
+		parallelism:   runtime.GOMAXPROCS(0),
 		point:         fault.Nominal,
 		server:        report.NewServer(cfg.CoresPerMachine),
 		cluster:       sched.NewCluster(),
@@ -537,12 +536,12 @@ func New(cfg Config) *Fleet {
 // Config returns the fleet's configuration.
 func (f *Fleet) Config() Config { return f.cfg }
 
-// SetMetrics routes the whole stack's telemetry — per-phase wall time,
+// setMetrics routes the whole stack's telemetry — per-phase wall time,
 // report-service counters, screening passes, quarantine ledger
-// transitions — into one shared registry. Call before the first Step.
+// transitions — into one shared registry. Called before the first step.
 // Metrics never affect simulation results: nothing here consumes
 // randomness or changes control flow.
-func (f *Fleet) SetMetrics(reg *obs.Registry) {
+func (f *Fleet) setMetrics(reg *obs.Registry) {
 	f.obs = reg
 	f.server.SetMetrics(reg)
 	f.manager.Metrics = reg
@@ -553,12 +552,6 @@ func (f *Fleet) SetMetrics(reg *obs.Registry) {
 		f.taskSup.SetMetrics(reg)
 	}
 }
-
-// SetTrace attaches a CEE-lifecycle trace. Call before the first Step:
-// the ground-truth defect population is emitted on day 0. All emission
-// happens in the serial phases of a day, so the stream is bit-identical
-// at any parallelism.
-func (f *Fleet) SetTrace(tr *obs.Trace) { f.trace = tr }
 
 // Trace returns the attached lifecycle trace (nil when tracing is off).
 func (f *Fleet) Trace() *obs.Trace { return f.trace }

@@ -74,22 +74,7 @@ func TestRunnerObserverSeesEveryDay(t *testing.T) {
 	if want := []int{0, 1, 2, 3, 4}; !reflect.DeepEqual(days, want) {
 		t.Fatalf("observer saw %v, want %v", days, want)
 	}
-}
-
-func TestDefaultParallelism(t *testing.T) {
-	defer SetDefaultParallelism(0)
-	if got := DefaultParallelism(); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("unset default = %d, want GOMAXPROCS", got)
-	}
-	SetDefaultParallelism(3)
-	if got := DefaultParallelism(); got != 3 {
-		t.Fatalf("default = %d, want 3", got)
-	}
-	if f := New(testConfig()); f.parallelism != 3 {
-		t.Fatalf("New picked up %d, want 3", f.parallelism)
-	}
-	SetDefaultParallelism(-5) // negative resets
-	if got := DefaultParallelism(); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("reset default = %d, want GOMAXPROCS", got)
+	if got := r.Parallelism(); got != runtime.GOMAXPROCS(0) {
+		t.Fatalf("default parallelism = %d, want GOMAXPROCS", got)
 	}
 }

@@ -77,8 +77,8 @@ func TestTaskRunDisabledForksNothing(t *testing.T) {
 	base.Machines = 120
 	base.CoresPerMachine = 8
 	base.DefectsPerMachine = 0.1
-	a := New(base).Run(5)
-	b := New(base).Run(5)
+	a := runDays(newFleet(base), 5)
+	b := runDays(newFleet(base), 5)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("baseline run not reproducible")
 	}
@@ -97,11 +97,11 @@ func TestTaskRunPhaseFeedsQuarantine(t *testing.T) {
 	cfg := trTestConfig()
 	cfg.TaskRun.Tasks = 4
 	cfg.TaskRun.DivergenceThreshold = 1
-	f := New(cfg)
+	f := newFleet(cfg)
 	injectDeterministic(f, 4)
 	var signals, reports int
 	for d := 0; d < 5; d++ {
-		st := f.Step()
+		st := f.step()
 		signals += st.TRSignals
 		reports += st.AutoReports
 	}

@@ -105,8 +105,8 @@ type siteResult struct {
 	screenFails int
 }
 
-// Step advances the simulation by one day and returns its telemetry.
-func (f *Fleet) Step() DayStats {
+// step advances the simulation by one day and returns its telemetry.
+func (f *Fleet) step() DayStats {
 	day := f.day
 	f.day++
 	now := simtime.Time(day) * simtime.Day
@@ -440,8 +440,10 @@ func (f *Fleet) coreFor(ref sched.CoreRef) *fault.Core {
 func (f *Fleet) confessionConfig() screen.Config {
 	cfg := f.cfg.ConfessionConfig
 	if cfg.Passes == 0 {
-		cfg = screen.NewConfig(screen.WithPasses(60), screen.WithSweep(2, 1, 2),
-			screen.WithMaxOps(15_000_000))
+		cfg = screen.Config{
+			Passes: 60, Points: screen.SweepPoints(2, 1, 2),
+			StopOnDetect: true, MaxOps: 15_000_000,
+		}
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = f.obs
@@ -652,17 +654,6 @@ func (f *Fleet) machineByID(id string) *Machine {
 		n = n*10 + int(id[i]-'0')
 	}
 	return f.machines[n]
-}
-
-// Run advances the simulation the given number of days and returns the
-// daily series. It is the compatibility entry point; new code should use
-// NewRunner, which adds parallelism and observer options.
-func (f *Fleet) Run(days int) []DayStats {
-	out := make([]DayStats, 0, days)
-	for i := 0; i < days; i++ {
-		out = append(out, f.Step())
-	}
-	return out
 }
 
 // WeeklyRate aggregates a daily series into per-machine weekly report

@@ -72,8 +72,7 @@ func TestRingHookCapturesEngineCorruption(t *testing.T) {
 // characterize runs a full (no-early-stop) screen for classification.
 func characterize(t *testing.T, core *fault.Core, seed uint64) screen.Report {
 	t.Helper()
-	cfg := screen.NewConfig(screen.WithPasses(3), screen.WithSweep(2, 1, 2),
-		screen.WithStopOnDetect(false))
+	cfg := screen.Config{Passes: 3, Points: screen.SweepPoints(2, 1, 2)}
 	return screen.Screen(core, cfg, xrand.New(seed))
 }
 

@@ -225,7 +225,7 @@ func TestIncidentPipelineEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tracker := detect.NewTracker(coresPer)
+	tracker := detect.NewShardedTracker(coresPer, 0)
 	rng := xrand.New(14)
 
 	// Production: batches hashed through each (machine, core); only

@@ -154,9 +154,12 @@ func CoverageCurve(base fleet.Config, corpusSizes []int, days int) []CoveragePoi
 		if n <= len(all) {
 			cfg.ConfessionConfig.Workloads = all[:n]
 		}
-		f := fleet.New(cfg)
-		f.Run(days)
-		rep := Detection(f, days)
+		r, err := fleet.NewRunner(cfg)
+		if err != nil {
+			panic(err)
+		}
+		r.Run(days)
+		rep := Detection(r.Fleet(), days)
 		out = append(out, CoveragePoint{
 			Workloads:        n,
 			DetectedFraction: rep.DetectedFraction(),

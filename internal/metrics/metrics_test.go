@@ -16,8 +16,10 @@ func testFleetConfig() fleet.Config {
 	cfg.CoresPerMachine = 16
 	cfg.DefectsPerMachine = 0.05
 	cfg.Seed = 7
-	cfg.ConfessionConfig = screen.NewConfig(screen.WithPasses(30),
-		screen.WithSweep(2, 1, 2), screen.WithMaxOps(8_000_000))
+	cfg.ConfessionConfig = screen.Config{
+		Passes: 30, Points: screen.SweepPoints(2, 1, 2),
+		StopOnDetect: true, MaxOps: 8_000_000,
+	}
 	return cfg
 }
 
@@ -60,10 +62,21 @@ func TestDetectionDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
+// mustRunner builds cfg's fleet through fleet.NewRunner.
+func mustRunner(t *testing.T, cfg fleet.Config) *fleet.Runner {
+	t.Helper()
+	r, err := fleet.NewRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func TestDetectionReport(t *testing.T) {
-	f := fleet.New(testFleetConfig())
+	r := mustRunner(t, testFleetConfig())
 	const days = 45
-	f.Run(days)
+	r.Run(days)
+	f := r.Fleet()
 	rep := Detection(f, days)
 	if rep.TotalDefective != len(f.Defects()) {
 		t.Fatalf("total = %d, want %d", rep.TotalDefective, len(f.Defects()))
@@ -103,7 +116,7 @@ func TestDetectedFractionEmpty(t *testing.T) {
 }
 
 func TestOnsetDistribution(t *testing.T) {
-	f := fleet.New(testFleetConfig())
+	f := mustRunner(t, testFleetConfig()).Fleet()
 	onsets := OnsetDistributionDays(f)
 	if len(onsets) != len(f.Defects()) {
 		t.Fatalf("onsets = %d", len(onsets))

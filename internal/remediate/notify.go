@@ -17,6 +17,8 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"repro/internal/backoff"
 )
 
 // Event is one notified control-plane occurrence.
@@ -96,24 +98,13 @@ func (n *WebhookNotifier) client() *http.Client {
 }
 
 // backoffDelay returns the clamped exponential delay before retry i
-// (0-based), immune to shift overflow at absurd attempt counts.
+// (0-based).
 func (n *WebhookNotifier) backoffDelay(i int) time.Duration {
 	base := n.Backoff
 	if base <= 0 {
 		base = 25 * time.Millisecond
 	}
-	max := 32 * base
-	d := base
-	for ; i > 0 && d < max; i-- {
-		d <<= 1
-		if d <= 0 { // overflowed
-			return max
-		}
-	}
-	if d > max {
-		d = max
-	}
-	return d
+	return backoff.Delay(base, 32*base, i)
 }
 
 // Notify delivers e, retrying per the notifier's policy. Delivery

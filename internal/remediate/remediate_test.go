@@ -167,23 +167,17 @@ func TestWebhookExhaustsRetries(t *testing.T) {
 	}
 }
 
+// TestBackoffDelayClampedNoOverflow pins the notifier's defaults: a zero
+// Backoff means a 25ms base, and the delay clamps at 32× base even at
+// absurd attempt counts. The doubling itself is covered in
+// internal/backoff.
 func TestBackoffDelayClampedNoOverflow(t *testing.T) {
-	n := &WebhookNotifier{Backoff: 25 * time.Millisecond}
+	n := &WebhookNotifier{}
 	if d := n.backoffDelay(0); d != 25*time.Millisecond {
-		t.Fatalf("delay(0) = %v, want base", d)
+		t.Fatalf("delay(0) = %v, want the 25ms default base", d)
 	}
-	if d := n.backoffDelay(3); d != 200*time.Millisecond {
-		t.Fatalf("delay(3) = %v, want 200ms", d)
-	}
-	max := 32 * 25 * time.Millisecond
-	// The regression: absurd attempt counts used to shift into overflow.
-	for _, i := range []int{5, 6, 63, 64, 100, 1 << 20} {
-		if d := n.backoffDelay(i); d != max {
-			t.Fatalf("delay(%d) = %v, want clamp at %v", i, d, max)
-		}
-		if d := n.backoffDelay(i); d <= 0 {
-			t.Fatalf("delay(%d) = %v: negative/zero means shift overflow", i, d)
-		}
+	if d := n.backoffDelay(1 << 20); d != 32*25*time.Millisecond {
+		t.Fatalf("delay(1<<20) = %v, want clamp at 32x base", d)
 	}
 }
 

@@ -1,8 +1,7 @@
 package report
 
-// Tests for the pool admin surface, the readiness endpoint, and the
-// clamped retry backoff — the robustness additions riding on the pools
-// and chaos work.
+// Tests for the pool admin surface and the readiness endpoint — the
+// robustness additions riding on the pools and chaos work.
 
 import (
 	"context"
@@ -10,7 +9,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/lifecycle"
@@ -220,28 +218,5 @@ func TestReadyzDegradedOnSaturatedQueue(t *testing.T) {
 	}
 	if !out.Queue.Enabled || !out.Queue.Saturated || out.Queue.Capacity != capacity {
 		t.Fatalf("queue section = %+v", out.Queue)
-	}
-}
-
-// TestBackoffDelayNoOverflow is the regression test for the retry-delay
-// shift overflow: `backoff << attempt` went negative past 63 bits, turning
-// the wait into zero and the retry loop into a hot spin.
-func TestBackoffDelayNoOverflow(t *testing.T) {
-	base := 50 * time.Millisecond
-	max := 5 * time.Second
-	if d := backoffDelay(base, max, 0); d != base {
-		t.Fatalf("retry 0: %v, want base", d)
-	}
-	if d := backoffDelay(base, max, 3); d != 400*time.Millisecond {
-		t.Fatalf("retry 3: %v, want 400ms", d)
-	}
-	for _, retry := range []int{7, 62, 63, 64, 200, 1 << 30} {
-		d := backoffDelay(base, max, retry)
-		if d != max {
-			t.Fatalf("retry %d: %v, want clamp at %v", retry, d, max)
-		}
-		if d <= 0 {
-			t.Fatalf("retry %d: %v — negative delay means the shift overflowed", retry, d)
-		}
 	}
 }

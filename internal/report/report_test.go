@@ -557,6 +557,37 @@ func TestClientRetryExhaustion(t *testing.T) {
 	}
 }
 
+// TestBackoffDelayNoOverflow is the regression test for the retry-delay
+// shift overflow: `backoff << attempt` went negative past 63 bits, turning
+// the wait into zero and the retry loop into a hot spin. Through the sleep
+// seam, every delay of a very long retry run must stay positive and the
+// jittered delay must never exceed the client's maxRetryBackoff cap.
+func TestBackoffDelayNoOverflow(t *testing.T) {
+	ft := &flakyTransport{failures: 1 << 30}
+	var slept []time.Duration
+	c := &Client{
+		BaseURL:     "http://example.invalid",
+		HTTPClient:  &http.Client{Transport: ft},
+		MaxAttempts: 80,
+		JitterSeed:  1,
+		sleep:       func(d time.Duration) { slept = append(slept, d) },
+	}
+	if err := c.Report(Report{Machine: "m"}); err == nil {
+		t.Fatal("expected exhaustion error")
+	}
+	if len(slept) != 79 {
+		t.Fatalf("slept %d times, want 79", len(slept))
+	}
+	for i, d := range slept {
+		if d <= 0 || d > maxRetryBackoff {
+			t.Fatalf("retry %d slept %v, want in (0, %v]", i, d, maxRetryBackoff)
+		}
+	}
+	if last := slept[len(slept)-1]; last < maxRetryBackoff/2 {
+		t.Fatalf("final delay %v below the clamped floor %v", last, maxRetryBackoff/2)
+	}
+}
+
 func TestClientTimeoutAgainstStalledHandler(t *testing.T) {
 	release := make(chan struct{})
 	stalled := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -55,12 +55,12 @@ func (cfg *Config) record(rep *Report) {
 
 // Quick returns the cheap screening config used for online and routine
 // fleet screening: one pass at the current operating point.
-func Quick() Config { return NewConfig() }
+func Quick() Config { return Config{Passes: 1, StopOnDetect: true} }
 
 // Deep returns the thorough config used for confession testing of
 // suspects: many passes over an operating-point sweep.
 func Deep() Config {
-	return NewConfig(WithPasses(8), WithSweep(3, 3, 3))
+	return Config{Passes: 8, Points: SweepPoints(3, 3, 3), StopOnDetect: true}
 }
 
 // SweepPoints builds an (f, V, T) grid around the nominal point with the

@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/backoff"
 	"repro/internal/corpus"
 	"repro/internal/detect"
 	"repro/internal/engine"
@@ -499,17 +500,9 @@ func (s *Supervisor) noteDivergence(ref sched.CoreRef, detail string, res *TaskR
 // backoff sleeps 2^retry × RetryBackoff capped at MaxBackoff, through the
 // test-seam sleeper. Zero RetryBackoff disables sleeping entirely.
 func (s *Supervisor) backoff(retry int) {
-	if s.cfg.RetryBackoff <= 0 {
-		return
+	if d := backoff.Delay(s.cfg.RetryBackoff, s.cfg.MaxBackoff, retry); d > 0 {
+		s.cfg.sleep(d)
 	}
-	d := s.cfg.RetryBackoff
-	for i := 0; i < retry && d < s.cfg.MaxBackoff; i++ {
-		d *= 2
-	}
-	if d > s.cfg.MaxBackoff {
-		d = s.cfg.MaxBackoff
-	}
-	s.cfg.sleep(d)
 }
 
 // observeLatency records the granule-latency histograms.

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -168,8 +169,7 @@ func TestTaskRunSurvivesDefectiveCoreEndToEnd(t *testing.T) {
 	mgr := quarantine.NewManager(cluster, quarantine.Policy{
 		Mode: quarantine.CoreRemoval, MinScore: 1,
 		RequireConfession: true,
-		ConfessionConfig: screen.NewConfig(screen.WithPasses(4),
-			screen.WithMaxOps(500_000)),
+		ConfessionConfig:  screen.Config{Passes: 4, StopOnDetect: true, MaxOps: 500_000},
 	})
 	srng := xrand.New(5)
 	for _, s := range suspects {
@@ -319,6 +319,44 @@ func TestTaskRunBackoffSeam(t *testing.T) {
 		if slept[i] != want[i] {
 			t.Fatalf("backoff %d = %v, want %v (sequence %v)", i, slept[i], want[i], slept)
 		}
+	}
+}
+
+// TestTaskRunBackoffNoOverflow is the regression test for the unguarded
+// doubling loop: with an hour base and no effective cap, `d *= 2` wrapped
+// negative after ~22 retries and then to zero, so the supervisor stopped
+// sleeping at all. Every delay must stay positive and non-decreasing.
+func TestTaskRunBackoffNoOverflow(t *testing.T) {
+	bad := fault.NewCore("solo", xrand.New(3), aluFlip)
+	cluster, provider, err := NewPool("m0", []*fault.Core{bad})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var slept []time.Duration
+	sup, err := NewSupervisor(cluster, provider, Config{
+		MaxRetries:   70,
+		RetryBackoff: time.Hour,
+		MaxBackoff:   math.MaxInt64,
+		sleep:        func(d time.Duration) { slept = append(slept, d) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = sup.Run(&Task{ID: "doomed", Granules: []Granule{CorpusGranule(corpus.NewArith(64))}},
+		xrand.New(1))
+	if !errors.Is(err, ErrGranuleFailed) {
+		t.Fatalf("err = %v, want ErrGranuleFailed", err)
+	}
+	if len(slept) != 70 {
+		t.Fatalf("slept %d times, want 70", len(slept))
+	}
+	for i, d := range slept {
+		if d <= 0 || (i > 0 && d < slept[i-1]) {
+			t.Fatalf("backoff %d = %v after %v: want positive and non-decreasing", i, d, slept[max(i-1, 0)])
+		}
+	}
+	if last := slept[len(slept)-1]; last != math.MaxInt64 {
+		t.Fatalf("final backoff %v, want saturation at the cap", last)
 	}
 }
 
